@@ -1,0 +1,10 @@
+(* Monotonic wall clock in seconds (CLOCK_MONOTONIC through bechamel's
+   stub): never steps backwards when the system clock is adjusted, unlike
+   Unix.gettimeofday. *)
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
