@@ -873,13 +873,13 @@ and exec_join fr env0 left kind method_ right on_ equi export =
     | Some { eq_pairs; eq_residual } ->
       inl_join fr env0 left kind right eq_pairs eq_residual export
     | None -> nl_join fr left kind right on_ export)
-  | C.Ppk { k; prefetch; inner } -> (
+  | C.Ppk { k; prefetch; _ } -> (
     match right with
     | { op_node = O_sql r; op_counters = sqlc; _ } :: rest_lets
       when List.for_all
              (fun o -> match o.op_node with O_let _ -> true | _ -> false)
              rest_lets ->
-      ppk_join fr sqlc left kind r rest_lets ~k ~prefetch ~inner on_ export
+      ppk_join fr sqlc left kind r rest_lets ~k ~prefetch on_ export
     | _ -> nl_join fr left kind right on_ export)
 
 and join_matches fr left_env right on_ =
@@ -952,63 +952,58 @@ and bind_sql_row binds col_index base_env row =
       bind acc b.C.bvar value)
     base_env binds
 
+and region_db fr (r : sql_region) =
+  match Metadata.find_database fr.rt.registry r.sql_db with
+  | Some db -> db
+  | None -> error "unknown database %s" r.sql_db
+
+(* the region's middleware-computed parameter bindings under [env] *)
+and region_params fr env (r : sql_region) =
+  Array.of_list
+    (List.map
+       (fun p ->
+         Adaptors.atomic_to_sql (singleton_atom "sql parameter" (exec fr env p)))
+       r.sql_params)
+
 and rel_stream fr counters env (r : sql_region) : env Seq.t =
-  let db =
-    match Metadata.find_database fr.rt.registry r.sql_db with
-    | Some db -> db
-    | None -> error "unknown database %s" r.sql_db
-  in
-  let params =
-    Array.of_list
-      (List.map
-         (fun p ->
-           Adaptors.atomic_to_sql
-             (singleton_atom "sql parameter" (exec fr env p)))
-         r.sql_params)
-  in
+  let db = region_db fr r in
+  let params = region_params fr env r in
   let t0 = Unix.gettimeofday () in
-  let result = Adaptors.relational_select_stream db r.sql_select ~params in
+  let result = Sql_exec.open_cursor db r.sql_select ~params in
   counters.c_roundtrips <- counters.c_roundtrips + 1;
   counters.c_wall <- counters.c_wall +. (Unix.gettimeofday () -. t0);
   match result with
   | Error m -> error "%s" m
-  | Ok (Sql_exec.Rows (result, plan_lines, shared)) ->
-    (* served by another session's in-flight work: the shared result set
-       is already materialized, ride it along whole *)
-    if shared then begin
-      counters.c_shared <- counters.c_shared + 1;
-      Option.iter Observed.record_coalesced fr.rt.observed
-    end;
-    r.sql_backend <- plan_lines;
-    let col_index =
-      List.mapi (fun i c -> (c, i)) result.Sql_exec.columns
-    in
-    List.to_seq
-      (List.map
-         (fun row -> bind_sql_row r.sql_binds col_index env row)
-         result.Sql_exec.rows)
-  | Ok (Sql_exec.Cursor cur) ->
+  | Ok cur ->
     let col_index =
       List.mapi (fun i c -> (c, i)) (Sql_exec.cursor_columns cur)
     in
     (* chunked fetch: downstream operators see rows as the backend engine
-       produces them; the access-path plan is only complete once the
-       cursor drains (projection-level subqueries decide lazily) *)
-    let rec chunks () =
-      match Sql_exec.fetch_chunk cur with
-      | Error m -> error "%s" m
-      | Ok [] ->
-        r.sql_backend <- Sql_exec.cursor_plan cur;
-        Seq.Nil
-      | Ok rows ->
-        Seq.append
-          (List.to_seq
-             (List.map
-                (fun row -> bind_sql_row r.sql_binds col_index env row)
-                rows))
-          chunks ()
-    in
-    chunks
+       produces them *)
+    let bind_row row = bind_sql_row r.sql_binds col_index env row in
+    Seq.concat_map
+      (fun rows -> List.to_seq (List.map bind_row rows))
+      (cursor_chunks fr counters r cur)
+
+(* A backend cursor as a sequence of row chunks, counting a statement
+   served from another session's work on the region's shared= counter.
+   The access-path plan is only complete once the cursor drains
+   (projection-level subqueries decide lazily), so it is stored into the
+   region then. *)
+and cursor_chunks fr counters (r : sql_region) cur =
+  if Sql_exec.cursor_shared cur then begin
+    counters.c_shared <- counters.c_shared + 1;
+    Option.iter Observed.record_coalesced fr.rt.observed
+  end;
+  let rec fetch () =
+    match Sql_exec.fetch_chunk cur with
+    | Error m -> error "%s" m
+    | Ok [] ->
+      r.sql_backend <- Sql_exec.cursor_plan cur;
+      Seq.Nil
+    | Ok rows -> Seq.Cons (rows, fetch)
+  in
+  fetch
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
@@ -1022,13 +1017,9 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
    result is byte-identical at every depth. The backend's plan lines ride
    along with each block's result and are stored into the region on the
    consumer thread, in block order, keeping EXPLAIN capture race-free. *)
-and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
-    on_ export =
-  let db =
-    match Metadata.find_database fr.rt.registry r.sql_db with
-    | Some db -> db
-    | None -> error "unknown database %s" r.sql_db
-  in
+and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch on_
+    export =
+  let db = region_db fr r in
   let n_params = List.length r.sql_params in
   let obs = fr.rt.observed in
   (* stage 1, consumer thread: the block query — WHERE (p_1..p_n) OR ...
@@ -1037,16 +1028,7 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
     let m = List.length block in
     let select = disjunctive_select r.sql_select n_params m in
     let params =
-      Array.concat
-        (List.map
-           (fun env ->
-             Array.of_list
-               (List.map
-                  (fun p ->
-                    Adaptors.atomic_to_sql
-                      (singleton_atom "sql parameter" (exec fr env p)))
-                  r.sql_params))
-           block)
+      Array.concat (List.map (fun env -> region_params fr env r) block)
     in
     (block, select, params)
   in
@@ -1055,7 +1037,7 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
      prefetch still hides them behind the previous block's join) *)
   let roundtrip (block, select, params) =
     let t0 = Unix.gettimeofday () in
-    let result = Adaptors.relational_select_stream db select ~params in
+    let result = Sql_exec.open_cursor db select ~params in
     let wall = Unix.gettimeofday () -. t0 in
     Option.iter (fun o -> Observed.record_roundtrip o ~wall) obs;
     sqlc.c_roundtrips <- sqlc.c_roundtrips + 1;
@@ -1071,31 +1053,13 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
   let middleware_join (block, result, _wall) =
     match result with
     | Error msg -> error "%s" msg
-    | Ok streamed ->
-      let columns, chunks =
-        match streamed with
-        | Sql_exec.Rows (result, plan_lines, shared) ->
-          if shared then begin
-            sqlc.c_shared <- sqlc.c_shared + 1;
-            Option.iter Observed.record_coalesced obs
-          end;
-          r.sql_backend <- plan_lines;
-          (result.Sql_exec.columns, Seq.return result.Sql_exec.rows)
-        | Sql_exec.Cursor cur ->
-          let rec fetch () =
-            match Sql_exec.fetch_chunk cur with
-            | Error msg -> error "%s" msg
-            | Ok [] ->
-              (* consumer thread, blocks drain in submission order, so
-                 EXPLAIN capture stays race-free and deterministic *)
-              r.sql_backend <- Sql_exec.cursor_plan cur;
-              Seq.Nil
-            | Ok rows -> Seq.Cons (rows, fetch)
-          in
-          (Sql_exec.cursor_columns cur, fetch)
+    | Ok cur ->
+      let col_index =
+        List.mapi (fun i c -> (c, i)) (Sql_exec.cursor_columns cur)
       in
-      let col_index = List.mapi (fun i c -> (c, i)) columns in
-      ignore inner;
+      (* consumer thread, blocks drain in submission order, so EXPLAIN
+         capture stays race-free and deterministic *)
+      let chunks = cursor_chunks fr sqlc r cur in
       let block_arr = Array.of_list block in
       let acc = Array.make (Array.length block_arr) [] in
       Seq.iter

@@ -99,17 +99,19 @@ let test_spsc_abort_releases_producer () =
 (* ------------------------------------------------------------------ *)
 (* Relational cursors                                                  *)
 
-let customer_select db =
-  match Db.find_table db "CUSTOMER" with
+let table_select ?where db table =
+  match Db.find_table db table with
   | Error m -> Alcotest.fail m
   | Ok t ->
-    Sql_ast.select
+    Sql_ast.select ?where
       ~projections:
         (List.map
            (fun c -> (Sql_ast.col "t0" c.Aldsp_relational.Table.col_name,
                       c.Aldsp_relational.Table.col_name))
            t.Aldsp_relational.Table.columns)
-      (Sql_ast.Table { table = "CUSTOMER"; alias = "t0" })
+      (Sql_ast.Table { table; alias = "t0" })
+
+let customer_select db = table_select db "CUSTOMER"
 
 let test_cursor_matches_query () =
   let demo = Aldsp_demo.Demo.create ~customers:12 ~orders_per_customer:0 () in
@@ -163,6 +165,72 @@ let test_cursor_accounting () =
   check_int "one statement total: chunks are engine-side iteration" 1
     db.Db.stats.Db.statements;
   check_int "rows shipped as fetched" 9 db.Db.stats.Db.rows_shipped
+
+(* A single-key probe on ORDER_T: the shape batched dispatch merges. *)
+let order_probe db =
+  ( table_select db "ORDER_T"
+      ~where:
+        (Sql_ast.Binop (Sql_ast.Eq, Sql_ast.col "t0" "CID", Sql_ast.Param 1)),
+    [| Aldsp_relational.Sql_value.Str "CUST0002" |] )
+
+let sharing_demo () =
+  let demo =
+    Aldsp_demo.Demo.create ~customers:4 ~orders_per_customer:3
+      ~db_latency:0.001 ()
+  in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  Db.set_share_work db true;
+  (demo, db)
+
+(* With work sharing on, a lone probe passes the sharing gate (a batch of
+   one) and comes back as a replay cursor: draining it must not ship the
+   rows a second time, since the batch's statement already accounted
+   them. *)
+let test_cursor_shared_probe_accounting () =
+  let demo, db = sharing_demo () in
+  let select, params = order_probe db in
+  let expected =
+    match Sql_exec.query db ~params select with
+    | Ok rs -> rs.Sql_exec.rows
+    | Error m -> Alcotest.fail m
+  in
+  check_int "the probe selects several rows" 3 (List.length expected);
+  Aldsp_demo.Demo.reset_stats demo;
+  (match Sql_exec.open_cursor db ~params select with
+  | Error m -> Alcotest.fail m
+  | Ok cur ->
+    check_bool "served by its own statement" false (Sql_exec.cursor_shared cur);
+    let rec drain acc =
+      match Sql_exec.fetch_chunk ~rows:2 cur with
+      | Error m -> Alcotest.fail m
+      | Ok [] -> List.rev acc
+      | Ok rows -> drain (List.rev_append rows acc)
+    in
+    check_bool "rows byte-identical to the direct query" true
+      (drain [] = expected));
+  let stats = db.Db.stats in
+  check_int "one statement" 1 stats.Db.statements;
+  check_int "rows shipped once" (List.length expected) stats.Db.rows_shipped;
+  check_int "nothing saved without a second session" 0
+    stats.Db.dedup_roundtrips_saved
+
+(* A pending fault schedule suspends sharing: the probe opens directly
+   and the scripted failure fires at open, counted as the one statement
+   that reached the wire with its own bound parameter (a failed batch
+   would account its statement with none). *)
+let test_cursor_shared_fault_at_open () =
+  let demo, db = sharing_demo () in
+  let select, params = order_probe db in
+  Db.set_schedule db [ Db.Fault_fail ];
+  Aldsp_demo.Demo.reset_stats demo;
+  (match Sql_exec.open_cursor db ~params select with
+  | Ok _ -> Alcotest.fail "scripted failure did not fire"
+  | Error m ->
+    check_string "the scripted error"
+      "database CustomerDB: scripted transport failure" m);
+  check_int "one statement counted" 1 db.Db.stats.Db.statements;
+  check_int "opened directly" 1 db.Db.stats.Db.params_bound;
+  check_int "schedule consumed" 0 (Db.schedule_remaining db)
 
 (* ------------------------------------------------------------------ *)
 (* Streamed session delivery                                           *)
@@ -371,7 +439,11 @@ let () =
         [ Alcotest.test_case "chunked drain matches query" `Quick
             test_cursor_matches_query;
           Alcotest.test_case "one statement, rows shipped as fetched" `Quick
-            test_cursor_accounting ] );
+            test_cursor_accounting;
+          Alcotest.test_case "shared probe replays without reshipping" `Quick
+            test_cursor_shared_probe_accounting;
+          Alcotest.test_case "fault schedule suspends sharing" `Quick
+            test_cursor_shared_fault_at_open ] );
       ( "delivery",
         [ Alcotest.test_case "streamed = materialized (fixtures)" `Quick
             test_streamed_matches_materialized;
